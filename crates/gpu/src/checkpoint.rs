@@ -38,8 +38,10 @@ use crate::machine::Gpu;
 pub const CHECKPOINT_MAGIC: [u8; 8] = *b"AWGCKPT\0";
 /// Current snapshot format version. Bumped to 2 when the attribution
 /// ledger (per-WG cause accounting in the telemetry hub, `fault_evicted`
-/// on the WG context) extended the serialized machine state.
-pub const CHECKPOINT_VERSION: u32 = 2;
+/// on the WG context) extended the serialized machine state; bumped to 3
+/// when each WG's one time ledger replaced the WG's waiting counters and
+/// the hub's per-WG intervals.
+pub const CHECKPOINT_VERSION: u32 = 3;
 /// Section tag for the machine-state payload.
 const SECTION_MACHINE: u8 = 1;
 /// Header size: magic + version + identity + cycle.
@@ -245,7 +247,7 @@ mod tests {
         let path = tmp_path("roundtrip.ckpt");
         write_checkpoint(&gpu, 0xFEED, &path).unwrap();
         let image = read_checkpoint(&path).unwrap();
-        assert_eq!(image.version, CHECKPOINT_VERSION);
+        assert_eq!(image.version, 3);
         assert_eq!(image.identity, 0xFEED);
         assert_eq!(image.cycle, 0);
         let mut fresh = small_gpu();
@@ -272,11 +274,18 @@ mod tests {
         let gpu = small_gpu();
         let path = tmp_path("version.ckpt");
         write_checkpoint(&gpu, 7, &path).unwrap();
-        let mut bytes = std::fs::read(&path).unwrap();
-        bytes[8..12].copy_from_slice(&99u32.to_le_bytes());
-        std::fs::write(&path, &bytes).unwrap();
-        let err = read_checkpoint(&path).unwrap_err();
-        assert!(err.to_string().contains("version 99"), "{err}");
+        let good = std::fs::read(&path).unwrap();
+        // Version 2 predates the per-WG time ledger; 99 is from the future.
+        for version in [2u32, 99] {
+            let mut bytes = good.clone();
+            bytes[8..12].copy_from_slice(&version.to_le_bytes());
+            std::fs::write(&path, &bytes).unwrap();
+            let err = read_checkpoint(&path).unwrap_err();
+            assert!(
+                err.to_string().contains(&format!("version {version} ")),
+                "{err}"
+            );
+        }
         std::fs::remove_file(&path).unwrap();
     }
 

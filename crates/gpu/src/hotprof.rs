@@ -112,8 +112,6 @@ pub struct HotReport {
     pub dispatch_admissions: u64,
     /// L2 `(atomics, reads, writes)` — bank-queue operations.
     pub l2_ops: (u64, u64, u64),
-    /// SyncMon lines monitored at end of run.
-    pub monitored_lines: usize,
     /// SyncMon/CP condition probes (summed across policy monitor cores;
     /// zero for policies without a monitor).
     pub sync_probes: u64,
@@ -126,14 +124,12 @@ impl HotReport {
     /// context. `lane_wall` fractions are normalized over the sum of all
     /// lanes, so they total 100% (up to rounding) whenever any wall time
     /// was attributed.
-    #[allow(clippy::too_many_arguments)] // one-shot assembly from the machine
     pub(crate) fn assemble(
         prof: &HotProfile,
         sim_cycles: Cycle,
         total_wall: Duration,
         sched_total: u64,
         l2_ops: (u64, u64, u64),
-        monitored_lines: usize,
         sync_probes: u64,
         trace_records: usize,
     ) -> Self {
@@ -163,7 +159,6 @@ impl HotReport {
             dispatch_scans: prof.dispatch_scans,
             dispatch_admissions: prof.dispatch_admissions,
             l2_ops,
-            monitored_lines,
             sync_probes,
             trace_records,
         }
@@ -235,10 +230,6 @@ impl HotReport {
             ("l2_reads".to_owned(), Value::Num(reads as f64)),
             ("l2_writes".to_owned(), Value::Num(writes as f64)),
             (
-                "monitored_lines".to_owned(),
-                Value::Num(self.monitored_lines as f64),
-            ),
-            (
                 "sync_probes".to_owned(),
                 Value::Num(self.sync_probes as f64),
             ),
@@ -272,9 +263,8 @@ impl std::fmt::Display for HotReport {
         let (atomics, reads, writes) = self.l2_ops;
         writeln!(
             f,
-            "  l2 bank ops: {atomics} atomics, {reads} reads, {writes} writes; \
-             {} monitored lines, {} sync probes",
-            self.monitored_lines, self.sync_probes
+            "  l2 bank ops: {atomics} atomics, {reads} reads, {writes} writes; {} sync probes",
+            self.sync_probes
         )?;
         writeln!(f, "  alloc proxy: {} trace records", self.trace_records)?;
         writeln!(
@@ -318,7 +308,6 @@ mod tests {
             Duration::from_millis(2),
             25,
             (5, 6, 7),
-            3,
             11,
             42,
         );
@@ -338,16 +327,8 @@ mod tests {
     fn report_json_round_trips() {
         let mut prof = HotProfile::default();
         prof.note_event(2, Duration::from_micros(50));
-        let report = HotReport::assemble(
-            &prof,
-            1_000,
-            Duration::from_micros(80),
-            7,
-            (1, 2, 3),
-            0,
-            0,
-            5,
-        );
+        let report =
+            HotReport::assemble(&prof, 1_000, Duration::from_micros(80), 7, (1, 2, 3), 0, 5);
         let text = report.to_json().to_json();
         let parsed = awg_sim::json::parse(&text).expect("profile JSON parses");
         assert_eq!(
@@ -372,8 +353,7 @@ mod tests {
     fn display_renders_every_lane_and_counter() {
         let mut prof = HotProfile::default();
         prof.note_event(6, Duration::from_micros(10));
-        let report =
-            HotReport::assemble(&prof, 100, Duration::from_micros(20), 1, (0, 0, 0), 0, 0, 0);
+        let report = HotReport::assemble(&prof, 100, Duration::from_micros(20), 1, (0, 0, 0), 0, 0);
         let text = report.to_string();
         for name in LANE_NAMES {
             assert!(text.contains(name), "{text}");

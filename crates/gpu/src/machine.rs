@@ -956,9 +956,7 @@ impl Gpu {
     /// Off by default. The hub is a pure observer — enabling it never
     /// changes simulated behaviour, so digest trails stay bit-identical.
     pub fn enable_telemetry(&mut self, config: TelemetryConfig) -> &mut Self {
-        let mut hub = TelemetryHub::new(config);
-        hub.ensure_wgs(self.kernel.num_wgs as usize);
-        self.telemetry = Some(hub);
+        self.telemetry = Some(TelemetryHub::new(config));
         self
     }
 
@@ -1009,7 +1007,6 @@ impl Gpu {
                 self.run_wall,
                 self.events.scheduled_total(),
                 self.l2.op_counts(),
-                self.l2.monitored_lines(),
                 sync_probes,
                 self.trace.len(),
             )
@@ -1319,25 +1316,24 @@ impl Gpu {
         }
     }
 
-    /// Transitions a WG's scheduling state, keeping the telemetry hub's
-    /// time-in-state accounting and cycle-attribution ledger in step with
-    /// the machine's own.
+    /// Transitions a WG's scheduling state: the one place its time ledger
+    /// closes an interval and opens the next.
     fn set_wg_state(&mut self, wg: WgId, state: WgState, at: Cycle) {
         let wgu = wg as usize;
         self.state_census[self.wgs[wgu].state.census_index()] -= 1;
         self.state_census[state.census_index()] += 1;
-        self.wgs[wgu].set_state(state, at);
+        self.wgs[wgu].state = state;
         if state == WgState::Running {
             // The fault's eviction episode ends when the WG runs again.
             self.wgs[wgu].fault_evicted = false;
-        }
-        if self.telemetry.is_some() {
-            let cause = self.cause_for(wgu, state);
             if let Some(hub) = self.telemetry.as_mut() {
-                hub.transition(wgu, state.progress_class(), at);
-                hub.attribute(wgu, cause, at);
+                hub.note_resume(wgu, at);
             }
         }
+        let cause = self.cause_for(wgu, state);
+        self.wgs[wgu]
+            .ledger
+            .enter(state.progress_class(), cause, at);
     }
 
     /// Re-arms a waiting WG's fallback timeout after a token-bumping
@@ -1734,7 +1730,7 @@ impl Gpu {
 
     fn handle_wake(&mut self, wg: WgId) {
         let wgu = wg as usize;
-        if let Some(since) = self.wgs[wgu].wait_since {
+        if let Some(since) = self.wgs[wgu].ledger.episode_start() {
             let h = self.stats.hist("wait_episode_cycles");
             self.stats.observe(h, self.now.saturating_sub(since));
         }
@@ -2041,7 +2037,10 @@ impl Gpu {
                 cond: wg.cond,
                 spinning_on,
                 observed: blocked_addr.map(|a| self.l2.peek(a)),
-                waited: wg.wait_since.map_or(0, |s| self.now.saturating_sub(s)),
+                waited: wg
+                    .ledger
+                    .episode_start()
+                    .map_or(0, |s| self.now.saturating_sub(s)),
                 timeout_in: wg.timeout_at.map(|t| t.saturating_sub(self.now)),
             });
             if let Some(a) = blocked_addr {
@@ -2088,8 +2087,9 @@ impl Gpu {
         for wg in &self.wgs {
             insts += wg.insts;
             atomics += wg.atomics;
-            running += wg.running_cycles(now);
-            waiting += wg.waiting_cycles + wg.wait_since.map_or(0, |s| now.saturating_sub(s));
+            let (r, w) = wg.breakdown(now);
+            running += r;
+            waiting += w;
         }
         // Fold memory-system counters into the registry.
         let (l2_atomics, l2_reads, l2_writes) = self.l2.op_counts();
@@ -2126,7 +2126,7 @@ impl Gpu {
             }
         }
         if let Some(mut hub) = self.telemetry.take() {
-            hub.finalize(now);
+            hub.finalize(now, self.wgs.iter().map(|w| &w.ledger));
             self.stats.absorb(hub.stats());
             self.telemetry = Some(hub);
         }
@@ -2304,13 +2304,13 @@ impl Gpu {
     /// Per-WG `(running, waiting)` cycle breakdown at the current time
     /// (Fig 11).
     pub fn wg_breakdown(&self) -> Vec<(u64, u64)> {
-        self.wgs
-            .iter()
-            .map(|w| {
-                let waiting =
-                    w.waiting_cycles + w.wait_since.map_or(0, |s| self.now.saturating_sub(s));
-                (w.running_cycles(self.now), waiting)
-            })
-            .collect()
+        self.wgs.iter().map(|w| w.breakdown(self.now)).collect()
+    }
+
+    /// Every WG's context, indexed by WG id (read-only). Each carries its
+    /// time ledger; telemetry views close it at
+    /// [`TelemetryHub::end_cycle`].
+    pub fn wgs(&self) -> &[Wg] {
+        &self.wgs
     }
 }

@@ -2,7 +2,7 @@
 
 use awg_isa::{RegFile, NUM_REGS};
 use awg_mem::Addr;
-use awg_sim::{CodecError, Cycle, Dec, Enc};
+use awg_sim::{CodecError, Cycle, Dec, Enc, WgLedger};
 
 use crate::policy::{SyncCond, WaitDirective};
 
@@ -87,19 +87,6 @@ impl WgState {
         )
     }
 
-    /// Whether the WG counts as *waiting* for the Fig 11 breakdown.
-    pub fn is_waiting(self) -> bool {
-        matches!(
-            self,
-            WgState::Sleeping
-                | WgState::Stalled
-                | WgState::SwappingOut
-                | WgState::SwappedWaiting
-                | WgState::ReadySwapped
-                | WgState::SwappingIn
-        )
-    }
-
     /// The telemetry-level accounting class for this state.
     ///
     /// Collapses the CP's internal distinctions into the coarser classes
@@ -164,10 +151,9 @@ pub struct Wg {
     pub dispatched_at: Option<Cycle>,
     /// Cycle the WG finished.
     pub finished_at: Option<Cycle>,
-    /// Cycle the current waiting episode began.
-    pub wait_since: Option<Cycle>,
-    /// Accumulated cycles in waiting states.
-    pub waiting_cycles: u64,
+    /// The WG's time ledger: every cycle it has lived, by (state, cause).
+    /// Advanced only by the machine's state transitions.
+    pub ledger: WgLedger,
     /// Dynamic instruction count.
     pub insts: u64,
     /// Dynamic atomic instruction count (the Fig 9 metric).
@@ -207,8 +193,7 @@ impl Wg {
             force_out: false,
             dispatched_at: None,
             finished_at: None,
-            wait_since: None,
-            waiting_cycles: 0,
+            ledger: WgLedger::default(),
             insts: 0,
             atomics: 0,
             switches_out: 0,
@@ -225,20 +210,6 @@ impl Wg {
         self.token
     }
 
-    /// Transitions to `state`, maintaining the waiting-time accounting.
-    pub fn set_state(&mut self, state: WgState, now: Cycle) {
-        let was_waiting = self.state.is_waiting();
-        let is_waiting = state.is_waiting();
-        if !was_waiting && is_waiting {
-            self.wait_since = Some(now);
-        } else if was_waiting && !is_waiting {
-            if let Some(since) = self.wait_since.take() {
-                self.waiting_cycles += now - since;
-            }
-        }
-        self.state = state;
-    }
-
     /// Total cycles between dispatch and finish (or `now` if unfinished).
     pub fn lifetime(&self, now: Cycle) -> u64 {
         match (self.dispatched_at, self.finished_at) {
@@ -248,10 +219,12 @@ impl Wg {
         }
     }
 
-    /// Cycles spent running (lifetime minus waiting).
-    pub fn running_cycles(&self, now: Cycle) -> u64 {
-        let waiting = self.waiting_cycles + self.wait_since.map_or(0, |s| now.saturating_sub(s));
-        self.lifetime(now).saturating_sub(waiting)
+    /// The Fig 11 `(running, waiting)` split at `now`: waiting is the
+    /// ledger's waiting cells with the open interval closed at `now`, and
+    /// running is the rest of the lifetime.
+    pub fn breakdown(&self, now: Cycle) -> (u64, u64) {
+        let waiting = self.ledger.waiting(now);
+        (self.lifetime(now).saturating_sub(waiting), waiting)
     }
 
     /// Serializes the WG's entire context — scheduling state, PC, registers,
@@ -299,8 +272,7 @@ impl Wg {
         enc.bool(self.force_out);
         enc.opt_u64(self.dispatched_at);
         enc.opt_u64(self.finished_at);
-        enc.opt_u64(self.wait_since);
-        enc.u64(self.waiting_cycles);
+        self.ledger.save(enc);
         enc.u64(self.insts);
         enc.u64(self.atomics);
         enc.u32(self.switches_out);
@@ -359,8 +331,7 @@ impl Wg {
         self.force_out = dec.bool()?;
         self.dispatched_at = dec.opt_u64()?;
         self.finished_at = dec.opt_u64()?;
-        self.wait_since = dec.opt_u64()?;
-        self.waiting_cycles = dec.u64()?;
+        self.ledger = WgLedger::load(dec)?;
         self.insts = dec.u64()?;
         self.atomics = dec.u64()?;
         self.switches_out = dec.u32()?;
@@ -415,41 +386,64 @@ mod tests {
 
     #[test]
     fn waiting_classification() {
-        assert!(WgState::Stalled.is_waiting());
-        assert!(WgState::Sleeping.is_waiting());
-        assert!(WgState::SwappedWaiting.is_waiting());
-        assert!(!WgState::Running.is_waiting());
-        assert!(!WgState::Pending.is_waiting());
+        let waiting = |s: WgState| s.progress_class().is_waiting();
+        for state in [
+            WgState::Sleeping,
+            WgState::Stalled,
+            WgState::SwappingOut,
+            WgState::SwappedWaiting,
+            WgState::ReadySwapped,
+            WgState::SwappingIn,
+        ] {
+            assert!(waiting(state), "{state:?}");
+        }
+        for state in [
+            WgState::Pending,
+            WgState::Dispatching,
+            WgState::Running,
+            WgState::Finished,
+        ] {
+            assert!(!waiting(state), "{state:?}");
+        }
+    }
+
+    /// Drives `wg`'s ledger the way the machine does on a transition.
+    fn enter(wg: &mut Wg, state: WgState, at: Cycle) {
+        use awg_sim::AttributionCause;
+        wg.state = state;
+        wg.ledger
+            .enter(state.progress_class(), AttributionCause::Queued, at);
     }
 
     #[test]
     fn waiting_accounting_across_transitions() {
         let mut wg = Wg::new(0);
         wg.dispatched_at = Some(100);
-        wg.set_state(WgState::Running, 100);
-        wg.set_state(WgState::Stalled, 200);
-        wg.set_state(WgState::Running, 500);
-        wg.set_state(WgState::Finished, 700);
+        enter(&mut wg, WgState::Running, 100);
+        enter(&mut wg, WgState::Stalled, 200);
+        enter(&mut wg, WgState::Running, 500);
+        enter(&mut wg, WgState::Finished, 700);
         wg.finished_at = Some(700);
-        assert_eq!(wg.waiting_cycles, 300);
         assert_eq!(wg.lifetime(700), 600);
-        assert_eq!(wg.running_cycles(700), 300);
+        assert_eq!(wg.breakdown(700), (300, 300));
     }
 
     #[test]
     fn waiting_chain_counts_once() {
         let mut wg = Wg::new(0);
         wg.dispatched_at = Some(0);
-        wg.set_state(WgState::Running, 0);
-        wg.set_state(WgState::Stalled, 100);
+        enter(&mut wg, WgState::Running, 0);
+        enter(&mut wg, WgState::Stalled, 100);
         // Stalled -> SwappingOut -> SwappedWaiting are all waiting states;
         // the episode must be accounted exactly once.
-        wg.set_state(WgState::SwappingOut, 150);
-        wg.set_state(WgState::SwappedWaiting, 300);
-        wg.set_state(WgState::ReadySwapped, 400);
-        wg.set_state(WgState::SwappingIn, 450);
-        wg.set_state(WgState::Running, 600);
-        assert_eq!(wg.waiting_cycles, 500);
+        enter(&mut wg, WgState::SwappingOut, 150);
+        enter(&mut wg, WgState::SwappedWaiting, 300);
+        enter(&mut wg, WgState::ReadySwapped, 400);
+        assert_eq!(wg.ledger.episode_start(), Some(100));
+        enter(&mut wg, WgState::SwappingIn, 450);
+        enter(&mut wg, WgState::Running, 600);
+        assert_eq!(wg.ledger.episode_start(), None);
+        assert_eq!(wg.breakdown(600), (100, 500));
     }
 
     #[test]
@@ -464,9 +458,9 @@ mod tests {
     fn unfinished_running_cycles_use_now() {
         let mut wg = Wg::new(0);
         wg.dispatched_at = Some(0);
-        wg.set_state(WgState::Running, 0);
-        wg.set_state(WgState::Stalled, 60);
-        assert_eq!(wg.running_cycles(100), 60);
+        enter(&mut wg, WgState::Running, 0);
+        enter(&mut wg, WgState::Stalled, 60);
+        assert_eq!(wg.breakdown(100), (60, 40));
         assert_eq!(wg.lifetime(100), 100);
     }
 }

@@ -58,8 +58,8 @@ pub use journal::{JobStatus, Journal, JournalRecord, ResumeState};
 pub use pool::{job, CampaignProfile, Job, JobOutput, Pool};
 pub use report::{Cell, Report, Row};
 pub use run::{
-    geomean, run_experiment, run_instrumented, run_with_policy, run_with_policy_under_plan,
-    ExpResult, ExperimentConfig, Instrumentation, DIGEST_WINDOW,
+    geomean, run_experiment, run_instrumented, run_with_policy, ExpResult, ExperimentConfig,
+    Instrumentation, DIGEST_WINDOW,
 };
 pub use scale::Scale;
 pub use shrink::{shrink, still_hangs, ShrinkResult};

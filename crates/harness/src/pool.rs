@@ -1,4 +1,4 @@
-//! Work-stealing job pool for sweep campaigns.
+//! Job pool for sweep campaigns.
 //!
 //! Every figure in the paper is a sweep over (benchmark × policy × seed)
 //! triples; each triple is an independent, deterministic simulation. This
@@ -17,12 +17,11 @@
 //!    trail and invariant-oracle verdict are identical whether it executed
 //!    on one worker or sixteen.
 //!
-//! Scheduling is work-stealing: jobs are dealt round-robin into per-worker
-//! deques; a worker pops from the front of its own deque and, when empty,
-//! steals from the back of its neighbours'. Campaign cells have wildly
-//! different costs (a deadlock detection runs ~600k cycles of spinning;
-//! a Fig 5 row is pure arithmetic), so stealing keeps all cores busy
-//! without any cost model.
+//! Scheduling is one shared cursor: each idle worker claims the next
+//! unclaimed job with a single atomic `fetch_add` over the job vector, so
+//! jobs start in enumeration order and a worker never holds a lock while
+//! looking for work. Campaign cells take milliseconds each, so claiming
+//! one at a time keeps every core busy without stealing or a cost model.
 //!
 //! # Example
 //!
@@ -39,8 +38,8 @@
 //! assert_eq!(outputs[0].key, "double/21");
 //! ```
 
-use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{mpsc, Mutex};
 use std::time::{Duration, Instant};
 
@@ -52,9 +51,6 @@ use crate::run::ExpResult;
 
 /// A boxed campaign task: one independent simulation (or computation).
 pub type Task<'scope, T> = Box<dyn FnOnce() -> T + Send + 'scope>;
-
-/// A worker's deque of `(enumeration index, job)` pairs.
-type JobQueue<'scope, T> = Mutex<VecDeque<(usize, Job<'scope, T>)>>;
 
 /// One keyed unit of campaign work.
 pub struct Job<'scope, T> {
@@ -141,38 +137,26 @@ impl Pool {
             return jobs.into_iter().map(execute).collect();
         }
 
-        // Deal jobs round-robin into per-worker deques. Workers pop their
-        // own front (cache-warm, in enumeration order) and steal from a
-        // neighbour's back when idle.
-        let queues: Vec<JobQueue<'scope, T>> =
-            (0..workers).map(|_| Mutex::new(VecDeque::new())).collect();
-        for (index, job) in jobs.into_iter().enumerate() {
-            queues[index % workers]
-                .lock()
-                .expect("job queue poisoned")
-                .push_back((index, job));
-        }
+        // Each slot is taken exactly once, by the worker whose cursor
+        // claim returned its index, so its lock is never contended.
+        let slots: Vec<Mutex<Option<Job<'scope, T>>>> =
+            jobs.into_iter().map(|job| Mutex::new(Some(job))).collect();
+        let cursor = AtomicUsize::new(0);
 
         let (tx, rx) = mpsc::channel::<(usize, JobOutput<T>)>();
-        let queues = &queues;
-        let mut slots: Vec<Option<JobOutput<T>>> = (0..n).map(|_| None).collect();
+        let (slots, cursor) = (&slots, &cursor);
+        let mut outputs: Vec<Option<JobOutput<T>>> = (0..n).map(|_| None).collect();
         std::thread::scope(|scope| {
-            for me in 0..workers {
+            for _ in 0..workers {
                 let tx = tx.clone();
                 scope.spawn(move || loop {
-                    let claimed = queues[me]
+                    let index = cursor.fetch_add(1, Ordering::Relaxed);
+                    let Some(slot) = slots.get(index) else { break };
+                    let job = slot
                         .lock()
-                        .expect("job queue poisoned")
-                        .pop_front()
-                        .or_else(|| {
-                            (1..workers).find_map(|d| {
-                                queues[(me + d) % workers]
-                                    .lock()
-                                    .expect("job queue poisoned")
-                                    .pop_back()
-                            })
-                        });
-                    let Some((index, job)) = claimed else { break };
+                        .expect("job slot poisoned")
+                        .take()
+                        .expect("each job is claimed once");
                     if tx.send((index, execute(job))).is_err() {
                         break;
                     }
@@ -182,10 +166,10 @@ impl Pool {
             // Collect inside the scope so result reception overlaps
             // execution; the channel closes when the last worker exits.
             for (index, output) in rx {
-                slots[index] = Some(output);
+                outputs[index] = Some(output);
             }
         });
-        slots
+        outputs
             .into_iter()
             .map(|slot| slot.expect("every claimed job reports exactly once"))
             .collect()
@@ -390,5 +374,32 @@ mod tests {
     fn auto_pool_is_at_least_serial() {
         assert!(Pool::auto().jobs() >= 1);
         assert_eq!(Pool::new(0).jobs(), 1, "zero clamps to serial");
+    }
+
+    #[test]
+    fn idle_workers_never_deadlock() {
+        // Three jobs on four workers leave every worker hunting for work at
+        // once, the schedule under which per-worker queues locked in a
+        // cycle used to wedge. Each round must finish within the watchdog
+        // window; a wedged round fails the test instead of hanging it.
+        const ROUNDS: usize = 20_000;
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            for round in 0..ROUNDS {
+                let outputs =
+                    Pool::new(4).run(vec![job("a", || 1u8), job("b", || 2u8), job("c", || 3u8)]);
+                assert_eq!(outputs.len(), 3);
+                if tx.send(round).is_err() {
+                    return;
+                }
+            }
+        });
+        let mut done = 0;
+        while done < ROUNDS {
+            match rx.recv_timeout(Duration::from_secs(10)) {
+                Ok(_) => done += 1,
+                Err(e) => panic!("pool wedged after {done} of {ROUNDS} rounds ({e:?})"),
+            }
+        }
     }
 }

@@ -130,9 +130,10 @@ pub struct ExpResult {
     /// Event-loop hot profile (present only when
     /// [`Instrumentation::hot_profile`] was set).
     pub hot: Option<HotReport>,
-    /// Per-WG cycle-attribution ledger, indexed by WG id then
-    /// [`AttributionCause`](awg_sim::AttributionCause) index (empty unless
-    /// telemetry was on). Each row sums to the run's elapsed cycles.
+    /// Per-WG cycle attribution, indexed by WG id then
+    /// [`AttributionCause`](awg_sim::AttributionCause) index: the column
+    /// sums of each WG's time ledger, closed where the telemetry hub closed
+    /// the run (empty unless telemetry was on). Each row sums to that cycle.
     pub attribution: Vec<[Cycle; ATTRIBUTION_CAUSES]>,
 }
 
@@ -206,27 +207,13 @@ pub fn run_with_policy(
     scale: &Scale,
     config: ExperimentConfig,
 ) -> ExpResult {
-    run_with_policy_under_plan(kind, label, policy_box, scale, config, None)
-}
-
-/// Like [`run_with_policy`], but optionally installing a seeded
-/// [`FaultPlan`] the machine injects while the kernel runs (the chaos
-/// harness's faulted arm).
-pub fn run_with_policy_under_plan(
-    kind: BenchmarkKind,
-    label: PolicyKind,
-    policy_box: Box<dyn awg_gpu::SchedPolicy>,
-    scale: &Scale,
-    config: ExperimentConfig,
-    plan: Option<FaultPlan>,
-) -> ExpResult {
     run_instrumented(
         kind,
         label,
         policy_box,
         scale,
         config,
-        plan,
+        None,
         Instrumentation::none(),
     )
 }
@@ -317,14 +304,14 @@ pub fn collect_result(
 ) -> ExpResult {
     let validated = built.validate(gpu.backing());
     let wg_breakdown = gpu.wg_breakdown();
-    let attribution = gpu
-        .telemetry()
-        .map(|h| {
-            (0..wg_breakdown.len())
-                .map(|wg| h.wg_cause_times(wg).unwrap_or([0; ATTRIBUTION_CAUSES]))
-                .collect()
-        })
-        .unwrap_or_default();
+    let attribution = match gpu.telemetry().and_then(|h| h.end_cycle()) {
+        Some(end) => gpu
+            .wgs()
+            .iter()
+            .map(|w| w.ledger.cause_times(end))
+            .collect(),
+        None => Vec::new(),
+    };
     ExpResult {
         kind,
         policy: label,

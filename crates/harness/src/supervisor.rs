@@ -1,5 +1,5 @@
 //! The campaign supervisor: durable, deadline-bounded, retrying job
-//! execution on top of the work-stealing [`Pool`].
+//! execution on top of the job-cursor [`Pool`].
 //!
 //! Every campaign (fig05–fig15, the tables, ablations, fairness, sweep,
 //! priority, chaos) submits its jobs through a [`Supervisor`] instead of

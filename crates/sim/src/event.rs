@@ -9,7 +9,7 @@
 //!
 //! The queue is a single-level calendar (timer wheel), not a binary heap.
 //! GPU timing events overwhelmingly land a few dozen to a few thousand
-//! cycles ahead of the current cycle, so a wheel of [`WHEEL_CYCLES`] flat
+//! cycles ahead of the current cycle, so a wheel of `WHEEL_CYCLES` flat
 //! buckets — one per cycle, addressed by `cycle % WHEEL_CYCLES` — turns
 //! both `schedule` and `pop` into O(1) array operations with an occupancy
 //! bitmap scan instead of O(log n) sift operations over a pointer-cold

@@ -53,6 +53,6 @@ pub use rng::{SplitMix64, Xoshiro256StarStar};
 pub use stats::{CounterId, DistId, DistSummary, HistId, Stats};
 pub use telemetry::{
     AttributionCause, MetricSnapshot, ProfileReport, ProgressState, SnapshotSample, Subsystem,
-    TelemetryConfig, TelemetryHub, ATTRIBUTION_CAUSES,
+    TelemetryConfig, TelemetryHub, WgLedger, ATTRIBUTION_CAUSES, PROGRESS_STATES,
 };
 pub use time::{cycles_to_ns, cycles_to_us, us_to_cycles, Cycle, BASELINE_CLOCK_GHZ};

@@ -5,9 +5,14 @@
 //! wake-to-resume latency, context-switch overhead, CU occupancy. This
 //! module gives those quantities first-class observation points:
 //!
-//! * [`TelemetryHub`] — the per-run aggregation point the machine layer
-//!   threads through its state transitions. It owns a private [`Stats`]
-//!   registry that the run summary absorbs at report time.
+//! * [`WgLedger`] — one work-group's time ledger: one cycle total per
+//!   ([`ProgressState`] × [`AttributionCause`]) cell plus the one open
+//!   interval. The Fig 11 running/waiting split, the time-in-state totals
+//!   and the cycle-attribution totals are all sums over its cells.
+//! * [`TelemetryHub`] — the per-run aggregation point for what is not a
+//!   per-WG time: wake-to-resume latency, context-switch costs, snapshots
+//!   and the self-profile. It owns a private [`Stats`] registry that the
+//!   run summary absorbs at report time.
 //! * [`ProgressState`] — the telemetry-level classification of a WG's
 //!   scheduling state (coarser than the machine's internal state enum so
 //!   the accounting is policy-agnostic).
@@ -95,6 +100,19 @@ impl ProgressState {
             ProgressState::SwapIn => "swap_in",
             ProgressState::Finished => "finished",
         }
+    }
+
+    /// Whether a WG in this state counts as *waiting* in the Fig 11
+    /// running/waiting split.
+    pub fn is_waiting(self) -> bool {
+        matches!(
+            self,
+            ProgressState::Stalled
+                | ProgressState::Sleeping
+                | ProgressState::SwapOut
+                | ProgressState::SwappedOut
+                | ProgressState::SwapIn
+        )
     }
 }
 
@@ -205,31 +223,144 @@ pub struct TelemetryConfig {
     pub profiling: bool,
 }
 
-/// Per-WG accounting record.
-#[derive(Debug, Clone)]
-struct WgAccount {
+/// Cycle totals per ([`ProgressState`] × [`AttributionCause`]) cell,
+/// indexed by [`ProgressState::index`] then [`AttributionCause::index`].
+type LedgerCells = [[Cycle; ATTRIBUTION_CAUSES]; PROGRESS_STATES];
+
+/// One work-group's time ledger: the single place its cycles accumulate.
+///
+/// The ledger keeps one open interval — the current (state, cause) cell and
+/// the cycle it opened — and one cycle total per cell. Every per-WG time
+/// view is a sum over the cells with the open interval closed at some
+/// cycle: the row sums are the time-in-state totals, the column sums are
+/// the cycle-attribution totals, and the waiting rows are Fig 11's waiting
+/// time. A fresh ledger sits in the (queued, queued) cell from cycle 0, so
+/// a WG that never dispatches still accounts for every cycle, and each row
+/// and column marginal sums to the cycle the ledger is closed at.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct WgLedger {
+    cells: LedgerCells,
     state: ProgressState,
-    since: Cycle,
-    time: [Cycle; PROGRESS_STATES],
     cause: AttributionCause,
-    cause_since: Cycle,
-    cause_time: [Cycle; ATTRIBUTION_CAUSES],
-    /// Cycle of the earliest wake notification not yet consumed by a
-    /// transition back to `Running`.
-    wake_pending: Option<Cycle>,
+    since: Cycle,
+    /// Cycle the current run of consecutive waiting cells opened.
+    episode_start: Option<Cycle>,
 }
 
-impl WgAccount {
-    fn new() -> Self {
-        WgAccount {
+impl Default for WgLedger {
+    fn default() -> Self {
+        WgLedger {
+            cells: [[0; ATTRIBUTION_CAUSES]; PROGRESS_STATES],
             state: ProgressState::Queued,
-            since: 0,
-            time: [0; PROGRESS_STATES],
             cause: AttributionCause::Queued,
-            cause_since: 0,
-            cause_time: [0; ATTRIBUTION_CAUSES],
-            wake_pending: None,
+            since: 0,
+            episode_start: None,
         }
+    }
+}
+
+impl WgLedger {
+    /// Closes the open interval at `at` and opens the `(state, cause)` cell
+    /// there. Intervals never run backwards: a close before the open cycle
+    /// adds nothing.
+    pub fn enter(&mut self, state: ProgressState, cause: AttributionCause, at: Cycle) {
+        self.cells[self.state.index()][self.cause.index()] += at.saturating_sub(self.since);
+        match (self.state.is_waiting(), state.is_waiting()) {
+            (false, true) => self.episode_start = Some(at),
+            (true, false) => self.episode_start = None,
+            _ => {}
+        }
+        self.state = state;
+        self.cause = cause;
+        self.since = at;
+    }
+
+    /// The cycle the WG's current waiting episode began — the first of the
+    /// consecutive waiting cells it is in now — or `None` when not waiting.
+    pub fn episode_start(&self) -> Option<Cycle> {
+        self.episode_start
+    }
+
+    /// Every cell's total with the open interval closed at `end`.
+    fn cells_at(&self, end: Cycle) -> LedgerCells {
+        let mut cells = self.cells;
+        cells[self.state.index()][self.cause.index()] += end.saturating_sub(self.since);
+        cells
+    }
+
+    /// Time-in-state totals at `end` (the row sums), indexed by
+    /// [`ProgressState::index`].
+    pub fn state_times(&self, end: Cycle) -> [Cycle; PROGRESS_STATES] {
+        self.cells_at(end).map(|row| row.iter().sum())
+    }
+
+    /// Cycle-attribution totals at `end` (the column sums), indexed by
+    /// [`AttributionCause::index`].
+    pub fn cause_times(&self, end: Cycle) -> [Cycle; ATTRIBUTION_CAUSES] {
+        let cells = self.cells_at(end);
+        std::array::from_fn(|cause| cells.iter().map(|row| row[cause]).sum())
+    }
+
+    /// Fig 11's waiting time at `end`: the sum of the waiting rows.
+    pub fn waiting(&self, end: Cycle) -> Cycle {
+        let times = self.state_times(end);
+        ProgressState::ALL
+            .iter()
+            .filter(|s| s.is_waiting())
+            .map(|s| times[s.index()])
+            .sum()
+    }
+
+    /// Serializes the ledger for checkpointing. A WG visits only a few of
+    /// the cells, so only the non-zero ones are written, as (flat index,
+    /// total) pairs in index order.
+    pub fn save(&self, enc: &mut Enc) {
+        enc.u8(self.state.index() as u8);
+        enc.u8(self.cause.index() as u8);
+        enc.u64(self.since);
+        enc.opt_u64(self.episode_start);
+        let cells = || {
+            self.cells
+                .iter()
+                .flatten()
+                .enumerate()
+                .filter(|(_, &t)| t > 0)
+        };
+        enc.usize(cells().count());
+        for (i, &t) in cells() {
+            enc.u8(i as u8);
+            enc.u64(t);
+        }
+    }
+
+    /// Decodes a ledger written by [`WgLedger::save`].
+    pub fn load(dec: &mut Dec<'_>) -> Result<Self, CodecError> {
+        let idx = dec.u8()? as usize;
+        let state = *ProgressState::ALL
+            .get(idx)
+            .ok_or_else(|| CodecError::Invalid(format!("progress state {idx}")))?;
+        let idx = dec.u8()? as usize;
+        let cause = *AttributionCause::ALL
+            .get(idx)
+            .ok_or_else(|| CodecError::Invalid(format!("attribution cause {idx}")))?;
+        let since = dec.u64()?;
+        let episode_start = dec.opt_u64()?;
+        let mut cells = [[0; ATTRIBUTION_CAUSES]; PROGRESS_STATES];
+        for _ in 0..dec.count(9)? {
+            let i = dec.u8()? as usize;
+            let cell = cells
+                .as_flattened_mut()
+                .get_mut(i)
+                .ok_or_else(|| CodecError::Invalid(format!("ledger cell {i}")))?;
+            *cell = dec.u64()?;
+        }
+        Ok(WgLedger {
+            cells,
+            state,
+            cause,
+            since,
+            episode_start,
+        })
     }
 }
 
@@ -457,24 +588,25 @@ impl std::fmt::Display for ProfileReport {
 
 /// The per-run telemetry aggregation point.
 ///
-/// The machine layer reports WG state transitions, wake notifications,
+/// The machine layer reports wake notifications, returns to running,
 /// context-switch cost breakdowns, and windowed [`SnapshotSample`]s; the
 /// hub folds them into a private [`Stats`] registry plus retained snapshot
-/// records. Call [`finalize`](Self::finalize) once at end of run to close
-/// open state intervals and publish the per-WG time-in-state
-/// distributions.
+/// records. Per-WG times live in each WG's [`WgLedger`], not here: call
+/// [`finalize`](Self::finalize) once at end of run with the ledgers to
+/// publish their per-WG distributions.
 #[derive(Debug, Clone)]
 pub struct TelemetryHub {
     config: TelemetryConfig,
     stats: Stats,
-    wgs: Vec<WgAccount>,
+    /// Per WG, the cycle of the earliest wake notification not yet consumed
+    /// by a return to running.
+    wake_pending: Vec<Option<Cycle>>,
     snapshot_next: Option<Cycle>,
     prev_atomics: u64,
     prev_swap_outs: u64,
     prev_swap_ins: u64,
     snapshots: Vec<MetricSnapshot>,
     profile: SelfProfile,
-    latest: Cycle,
     end_cycle: Option<Cycle>,
 }
 
@@ -484,14 +616,13 @@ impl TelemetryHub {
         TelemetryHub {
             config,
             stats: Stats::new(),
-            wgs: Vec::new(),
+            wake_pending: Vec::new(),
             snapshot_next: config.snapshot_window,
             prev_atomics: 0,
             prev_swap_outs: 0,
             prev_swap_ins: 0,
             snapshots: Vec::new(),
             profile: SelfProfile::default(),
-            latest: 0,
             end_cycle: None,
         }
     }
@@ -506,67 +637,23 @@ impl TelemetryHub {
         self.config.profiling
     }
 
-    fn account(&mut self, wg: usize) -> &mut WgAccount {
-        if wg >= self.wgs.len() {
-            self.wgs.resize_with(wg + 1, WgAccount::new);
-        }
-        &mut self.wgs[wg]
-    }
-
-    /// Pre-registers `n` WGs so that WGs which never transition (e.g. a
-    /// never-dispatched WG in a deadlocked run) are still accounted from
-    /// cycle 0 in [`ProgressState::Queued`].
-    pub fn ensure_wgs(&mut self, n: usize) {
-        if n > self.wgs.len() {
-            self.wgs.resize_with(n, WgAccount::new);
-        }
-    }
-
-    /// Records that work-group `wg` entered `state` at cycle `at`.
-    ///
-    /// The first transition for a WG implicitly opens a
-    /// [`ProgressState::Queued`] interval starting at cycle 0, so the
-    /// per-WG state times always sum to the run's elapsed cycles.
-    pub fn transition(&mut self, wg: usize, state: ProgressState, at: Cycle) {
-        self.latest = self.latest.max(at);
-        let a = self.account(wg);
-        let idx = a.state.index();
-        a.time[idx] += at.saturating_sub(a.since);
-        a.state = state;
-        a.since = at;
-        if state == ProgressState::Running {
-            if let Some(woke) = a.wake_pending.take() {
-                let h = self.stats.hist("telemetry_wake_to_resume_cycles");
-                self.stats.observe(h, at.saturating_sub(woke));
-            }
-        } else if state == ProgressState::Finished {
-            a.wake_pending = None;
-        }
-    }
-
-    /// Attributes work-group `wg`'s cycles to `cause` from cycle `at`
-    /// onward, closing the previously open cause interval.
-    ///
-    /// Like [`transition`](Self::transition), the first call implicitly
-    /// opens an [`AttributionCause::Queued`] interval at cycle 0, so the
-    /// per-WG cause times always sum to the run's elapsed cycles.
-    pub fn attribute(&mut self, wg: usize, cause: AttributionCause, at: Cycle) {
-        self.latest = self.latest.max(at);
-        let a = self.account(wg);
-        let idx = a.cause.index();
-        a.cause_time[idx] += at.saturating_sub(a.cause_since);
-        a.cause = cause;
-        a.cause_since = at;
-    }
-
     /// Records that a wake notification for `wg` fired at cycle `at`.
     ///
     /// Only the earliest un-consumed wake is kept; the latency is observed
-    /// when the WG next transitions back to [`ProgressState::Running`].
+    /// when the WG next returns to running ([`note_resume`](Self::note_resume)).
     pub fn note_wake(&mut self, wg: usize, at: Cycle) {
-        let a = self.account(wg);
-        if a.wake_pending.is_none() {
-            a.wake_pending = Some(at);
+        if wg >= self.wake_pending.len() {
+            self.wake_pending.resize(wg + 1, None);
+        }
+        self.wake_pending[wg].get_or_insert(at);
+    }
+
+    /// Records that `wg` returned to running at cycle `at`, observing the
+    /// wake-to-resume latency of its pending wake, if any.
+    pub fn note_resume(&mut self, wg: usize, at: Cycle) {
+        if let Some(woke) = self.wake_pending.get_mut(wg).and_then(Option::take) {
+            let h = self.stats.hist("telemetry_wake_to_resume_cycles");
+            self.stats.observe(h, at.saturating_sub(woke));
         }
     }
 
@@ -645,85 +732,47 @@ impl TelemetryHub {
         }
     }
 
-    /// Closes every open state interval and publishes the per-WG
-    /// time-in-state distributions into the hub's registry.
+    /// Publishes the per-WG time-in-state (row sum) and cycle-attribution
+    /// (column sum) distributions of `ledgers` into the hub's registry.
     ///
-    /// Intervals close at `max(end, latest transition timestamp)`: the
-    /// machine stamps some transitions at instruction-retire time, which
-    /// can sit a few cycles past the last scheduled event. The cycle the
-    /// hub actually closed at is [`TelemetryHub::end_cycle`].
+    /// Each ledger is closed at `max(end, latest transition)`: the machine
+    /// stamps some transitions at instruction-retire time, which can sit a
+    /// few cycles past the last scheduled event. The cycle the hub closed at
+    /// is [`TelemetryHub::end_cycle`].
     ///
     /// Idempotent: only the first call has an effect.
-    pub fn finalize(&mut self, end: Cycle) {
+    pub fn finalize<'a>(&mut self, end: Cycle, ledgers: impl IntoIterator<Item = &'a WgLedger>) {
         if self.end_cycle.is_some() {
             return;
         }
-        let end = end.max(self.latest);
+        let ledgers: Vec<&WgLedger> = ledgers.into_iter().collect();
+        // A ledger's open interval starts at its WG's latest transition.
+        let end = ledgers.iter().map(|l| l.since).fold(end, Cycle::max);
         self.end_cycle = Some(end);
-        for wg in 0..self.wgs.len() {
-            let a = &mut self.wgs[wg];
-            let idx = a.state.index();
-            a.time[idx] += end.saturating_sub(a.since);
-            a.since = end;
-            let idx = a.cause.index();
-            a.cause_time[idx] += end.saturating_sub(a.cause_since);
-            a.cause_since = end;
-        }
+        let states: Vec<_> = ledgers.iter().map(|l| l.state_times(end)).collect();
         for state in ProgressState::ALL {
             let d = self
                 .stats
                 .dist(&format!("telemetry_wg_cycles_{}", state.name()));
-            for wg in 0..self.wgs.len() {
-                let t = self.wgs[wg].time[state.index()];
-                self.stats.sample(d, t);
+            for times in &states {
+                self.stats.sample(d, times[state.index()]);
             }
         }
+        let causes: Vec<_> = ledgers.iter().map(|l| l.cause_times(end)).collect();
         for cause in AttributionCause::ALL {
             let d = self
                 .stats
                 .dist(&format!("telemetry_wg_attr_{}", cause.name()));
-            for wg in 0..self.wgs.len() {
-                let t = self.wgs[wg].cause_time[cause.index()];
-                self.stats.sample(d, t);
+            for times in &causes {
+                self.stats.sample(d, times[cause.index()]);
             }
         }
     }
 
-    /// The cycle [`TelemetryHub::finalize`] closed every interval at
-    /// (`None` until finalized). Every WG's state times sum to exactly
-    /// this value.
+    /// The cycle [`TelemetryHub::finalize`] closed every ledger at (`None`
+    /// until finalized). Every WG's row and column sums equal this value.
     pub fn end_cycle(&self) -> Option<Cycle> {
         self.end_cycle
-    }
-
-    /// Per-WG time-in-state totals (indexed by [`ProgressState::index`]),
-    /// if the hub has seen that WG.
-    pub fn wg_state_times(&self, wg: usize) -> Option<[Cycle; PROGRESS_STATES]> {
-        self.wgs.get(wg).map(|a| a.time)
-    }
-
-    /// Per-WG cycle-attribution totals (indexed by
-    /// [`AttributionCause::index`]), if the hub has seen that WG.
-    pub fn wg_cause_times(&self, wg: usize) -> Option<[Cycle; ATTRIBUTION_CAUSES]> {
-        self.wgs.get(wg).map(|a| a.cause_time)
-    }
-
-    /// Machine-wide cycle-attribution totals: the per-cause sums across
-    /// every accounted WG. After [`finalize`](Self::finalize) the grand
-    /// total equals `wg_count() * end_cycle`.
-    pub fn cause_totals(&self) -> [Cycle; ATTRIBUTION_CAUSES] {
-        let mut totals = [0; ATTRIBUTION_CAUSES];
-        for a in &self.wgs {
-            for (t, &c) in totals.iter_mut().zip(a.cause_time.iter()) {
-                *t += c;
-            }
-        }
-        totals
-    }
-
-    /// Number of WGs the hub has accounted.
-    pub fn wg_count(&self) -> usize {
-        self.wgs.len()
     }
 
     /// The hub's private measurement registry (absorb into the run summary
@@ -743,19 +792,9 @@ impl TelemetryHub {
         self.stats.save(&mut stats_enc);
         enc.usize(stats_enc.len());
         enc.raw(stats_enc.bytes());
-        enc.usize(self.wgs.len());
-        for a in &self.wgs {
-            enc.u8(a.state.index() as u8);
-            enc.u64(a.since);
-            for &t in &a.time {
-                enc.u64(t);
-            }
-            enc.u8(a.cause.index() as u8);
-            enc.u64(a.cause_since);
-            for &t in &a.cause_time {
-                enc.u64(t);
-            }
-            enc.opt_u64(a.wake_pending);
+        enc.usize(self.wake_pending.len());
+        for &w in &self.wake_pending {
+            enc.opt_u64(w);
         }
         enc.opt_u64(self.snapshot_next);
         enc.u64(self.prev_atomics);
@@ -779,7 +818,6 @@ impl TelemetryHub {
             enc.u64(s.swap_outs);
             enc.u64(s.swap_ins);
         }
-        enc.u64(self.latest);
         enc.opt_u64(self.end_cycle);
     }
 
@@ -794,37 +832,10 @@ impl TelemetryHub {
         let mut stats_dec = Dec::new(stats_bytes);
         self.stats = Stats::load(&mut stats_dec)?;
         stats_dec.finish()?;
-        let n = dec.count(1 + 8 + 8 * PROGRESS_STATES + 1 + 8 + 8 * ATTRIBUTION_CAUSES + 1)?;
-        self.wgs.clear();
+        let n = dec.count(1)?;
+        self.wake_pending.clear();
         for _ in 0..n {
-            let idx = dec.u8()? as usize;
-            let state = *ProgressState::ALL
-                .get(idx)
-                .ok_or_else(|| CodecError::Invalid(format!("progress state {idx}")))?;
-            let since = dec.u64()?;
-            let mut time = [0; PROGRESS_STATES];
-            for t in time.iter_mut() {
-                *t = dec.u64()?;
-            }
-            let idx = dec.u8()? as usize;
-            let cause = *AttributionCause::ALL
-                .get(idx)
-                .ok_or_else(|| CodecError::Invalid(format!("attribution cause {idx}")))?;
-            let cause_since = dec.u64()?;
-            let mut cause_time = [0; ATTRIBUTION_CAUSES];
-            for t in cause_time.iter_mut() {
-                *t = dec.u64()?;
-            }
-            let wake_pending = dec.opt_u64()?;
-            self.wgs.push(WgAccount {
-                state,
-                since,
-                time,
-                cause,
-                cause_since,
-                cause_time,
-                wake_pending,
-            });
+            self.wake_pending.push(dec.opt_u64()?);
         }
         self.snapshot_next = dec.opt_u64()?;
         self.prev_atomics = dec.u64()?;
@@ -859,7 +870,6 @@ impl TelemetryHub {
                 swap_ins: dec.u64()?,
             });
         }
-        self.latest = dec.u64()?;
         self.end_cycle = dec.opt_u64()?;
         Ok(())
     }
@@ -1011,36 +1021,92 @@ mod tests {
     use super::*;
     use crate::json;
 
+    /// The ledger of the test WGs below, closed by `finalize(1000, ..)`.
+    fn sample_ledgers() -> Vec<WgLedger> {
+        use AttributionCause as C;
+        use ProgressState as S;
+        let mut wg0 = WgLedger::default();
+        wg0.enter(S::Running, C::Executing, 100);
+        wg0.enter(S::Stalled, C::SyncWait, 250);
+        wg0.enter(S::Running, C::Executing, 400);
+        wg0.enter(S::Finished, C::Retired, 900);
+        let mut wg1 = WgLedger::default();
+        wg1.enter(S::Running, C::Executing, 50);
+        wg1.enter(S::SwapOut, C::FaultStall, 300);
+        wg1.enter(S::SwappedOut, C::FaultStall, 450);
+        // WG 2 never dispatches: all its cycles stay queued.
+        vec![wg0, wg1, WgLedger::default()]
+    }
+
     #[test]
-    fn state_times_sum_to_elapsed() {
+    fn ledger_marginals_sum_to_elapsed() {
+        let ledgers = sample_ledgers();
         let mut hub = TelemetryHub::new(TelemetryConfig::default());
-        hub.transition(0, ProgressState::Running, 100);
-        hub.transition(0, ProgressState::Stalled, 250);
-        hub.transition(0, ProgressState::Running, 400);
-        hub.transition(0, ProgressState::Finished, 900);
-        hub.transition(1, ProgressState::Running, 50);
-        hub.finalize(1000);
-        for wg in 0..hub.wg_count() {
-            let times = hub.wg_state_times(wg).unwrap();
-            let total: Cycle = times.iter().sum();
-            assert_eq!(total, 1000, "wg {wg} state times must sum to elapsed");
+        hub.finalize(1000, &ledgers);
+        assert_eq!(hub.end_cycle(), Some(1000));
+        for (wg, l) in ledgers.iter().enumerate() {
+            let rows: Cycle = l.state_times(1000).iter().sum();
+            let cols: Cycle = l.cause_times(1000).iter().sum();
+            assert_eq!((rows, cols), (1000, 1000), "wg {wg} marginals");
         }
-        let times = hub.wg_state_times(0).unwrap();
-        assert_eq!(times[ProgressState::Queued.index()], 100);
-        assert_eq!(times[ProgressState::Running.index()], 150 + 500);
-        assert_eq!(times[ProgressState::Stalled.index()], 150);
-        assert_eq!(times[ProgressState::Finished.index()], 100);
+        let s0 = ledgers[0].state_times(1000);
+        assert_eq!(s0[ProgressState::Queued.index()], 100);
+        assert_eq!(s0[ProgressState::Running.index()], 150 + 500);
+        assert_eq!(s0[ProgressState::Stalled.index()], 150);
+        assert_eq!(s0[ProgressState::Finished.index()], 100);
+        assert_eq!(ledgers[0].waiting(1000), 150);
+        let c1 = ledgers[1].cause_times(1000);
+        assert_eq!(c1[AttributionCause::FaultStall.index()], 700);
+        assert_eq!(ledgers[1].waiting(1000), 700);
+        assert_eq!(ledgers[1].episode_start(), Some(300), "one episode");
+        let c2 = ledgers[2].cause_times(1000);
+        assert_eq!(c2[AttributionCause::Queued.index()], 1000);
+        assert_eq!(ledgers[2].episode_start(), None);
+        // finalize publishes both marginals as per-WG distributions.
+        let stats = hub.stats();
+        let d = stats
+            .dist_summary_by_name("telemetry_wg_attr_executing")
+            .unwrap();
+        assert_eq!((d.count, d.sum), (3, 650 + 250));
+        let d = stats
+            .dist_summary_by_name("telemetry_wg_cycles_swapped_out")
+            .unwrap();
+        assert_eq!((d.count, d.sum), (3, 550));
+    }
+
+    #[test]
+    fn finalize_closes_at_the_latest_transition() {
+        let mut ledger = WgLedger::default();
+        ledger.enter(ProgressState::Finished, AttributionCause::Retired, 1010);
+        let mut hub = TelemetryHub::new(TelemetryConfig::default());
+        hub.finalize(1000, [&ledger]);
+        assert_eq!(hub.end_cycle(), Some(1010));
+        // A read-out at an earlier cycle never runs an interval backwards.
+        assert_eq!(ledger.state_times(1000).iter().sum::<Cycle>(), 1010);
+    }
+
+    #[test]
+    fn ledger_save_load_round_trips() {
+        for ledger in sample_ledgers() {
+            let mut enc = Enc::new();
+            ledger.save(&mut enc);
+            let bytes = enc.into_bytes();
+            let mut dec = Dec::new(&bytes);
+            assert_eq!(WgLedger::load(&mut dec).unwrap(), ledger);
+            dec.finish().unwrap();
+        }
     }
 
     #[test]
     fn wake_to_resume_latency_is_observed() {
         let mut hub = TelemetryHub::new(TelemetryConfig::default());
-        hub.transition(0, ProgressState::Sleeping, 10);
         hub.note_wake(0, 100);
         // A later duplicate wake must not overwrite the earliest one.
         hub.note_wake(0, 150);
-        hub.transition(0, ProgressState::Running, 180);
-        hub.finalize(200);
+        hub.note_resume(0, 180);
+        // A resume with no pending wake observes nothing.
+        hub.note_resume(0, 190);
+        hub.note_resume(7, 190);
         let buckets = hub
             .stats()
             .hist_buckets_by_name("telemetry_wake_to_resume_cycles")
@@ -1094,53 +1160,17 @@ mod tests {
     }
 
     #[test]
-    fn cause_times_sum_to_elapsed() {
-        let mut hub = TelemetryHub::new(TelemetryConfig::default());
-        hub.ensure_wgs(3);
-        hub.attribute(0, AttributionCause::Executing, 100);
-        hub.attribute(0, AttributionCause::SyncWait, 250);
-        hub.attribute(0, AttributionCause::Executing, 400);
-        hub.attribute(0, AttributionCause::Retired, 900);
-        hub.attribute(1, AttributionCause::Executing, 50);
-        hub.attribute(1, AttributionCause::FaultStall, 300);
-        // WG 2 never dispatches: all cycles stay Queued.
-        hub.finalize(1000);
-        for wg in 0..hub.wg_count() {
-            let times = hub.wg_cause_times(wg).unwrap();
-            let total: Cycle = times.iter().sum();
-            assert_eq!(total, 1000, "wg {wg} cause times must sum to elapsed");
-        }
-        let t0 = hub.wg_cause_times(0).unwrap();
-        assert_eq!(t0[AttributionCause::Queued.index()], 100);
-        assert_eq!(t0[AttributionCause::Executing.index()], 150 + 500);
-        assert_eq!(t0[AttributionCause::SyncWait.index()], 150);
-        assert_eq!(t0[AttributionCause::Retired.index()], 100);
-        let t1 = hub.wg_cause_times(1).unwrap();
-        assert_eq!(t1[AttributionCause::FaultStall.index()], 700);
-        let t2 = hub.wg_cause_times(2).unwrap();
-        assert_eq!(t2[AttributionCause::Queued.index()], 1000);
-        assert_eq!(
-            t2[AttributionCause::Executing.index()],
-            0,
-            "never dispatched"
-        );
-        let totals = hub.cause_totals();
-        assert_eq!(totals.iter().sum::<Cycle>(), 3 * 1000);
-        // finalize publishes per-cause distributions.
-        assert!(hub
-            .stats()
-            .dist_summary_by_name("telemetry_wg_attr_executing")
-            .is_some());
-    }
-
-    #[test]
     fn finalize_is_idempotent() {
+        let ledgers = sample_ledgers();
         let mut hub = TelemetryHub::new(TelemetryConfig::default());
-        hub.transition(0, ProgressState::Running, 10);
-        hub.finalize(100);
-        hub.finalize(500);
-        let times = hub.wg_state_times(0).unwrap();
-        assert_eq!(times.iter().sum::<Cycle>(), 100);
+        hub.finalize(1000, &ledgers);
+        hub.finalize(5000, &ledgers);
+        assert_eq!(hub.end_cycle(), Some(1000));
+        let d = hub
+            .stats()
+            .dist_summary_by_name("telemetry_wg_cycles_queued")
+            .unwrap();
+        assert_eq!(d.count, 3, "only the first call samples");
     }
 
     #[test]
@@ -1186,9 +1216,8 @@ mod tests {
             profiling: false,
         };
         let mut hub = TelemetryHub::new(config);
-        hub.ensure_wgs(3);
-        hub.transition(0, ProgressState::Running, 10);
-        hub.attribute(0, AttributionCause::Executing, 10);
+        hub.note_wake(0, 5);
+        hub.note_resume(0, 10);
         hub.note_wake(1, 40);
         hub.note_ctx_switch(SwapDir::Out, 120, 30, 5);
         hub.push_snapshot(SnapshotSample {
@@ -1210,9 +1239,9 @@ mod tests {
         dec.finish().unwrap();
 
         // Continue both identically; outcomes must match exactly.
+        let ledgers = sample_ledgers();
         for h in [&mut hub, &mut restored] {
-            h.transition(1, ProgressState::Running, 130);
-            h.attribute(1, AttributionCause::Executing, 130);
+            h.note_resume(1, 130);
             h.push_snapshot(SnapshotSample {
                 cycle: 200,
                 occupancy: vec![2, 2],
@@ -1222,15 +1251,11 @@ mod tests {
                 swap_outs_total: 3,
                 swap_ins_total: 2,
             });
-            h.finalize(250);
+            h.finalize(1000, &ledgers);
         }
         assert_eq!(restored.snapshots(), hub.snapshots());
         assert_eq!(restored.end_cycle(), hub.end_cycle());
         assert_eq!(restored.stats().to_string(), hub.stats().to_string());
-        for wg in 0..hub.wg_count() {
-            assert_eq!(restored.wg_state_times(wg), hub.wg_state_times(wg));
-            assert_eq!(restored.wg_cause_times(wg), hub.wg_cause_times(wg));
-        }
         // And the re-encoding is a fixed point.
         let mut e1 = Enc::new();
         hub.save(&mut e1);

@@ -15,21 +15,38 @@ const POLICIES: [PolicyKind; 6] = [
     PolicyKind::Awg,
 ];
 
+/// Sweep points the figure campaigns run beyond the matrix: Fig 7's
+/// backoff caps, Fig 8's timeout intervals and Fig 9's MonR.
+const SWEEP_CELLS: [(BenchmarkKind, PolicyKind); 5] = [
+    (BenchmarkKind::SpinMutexGlobal, PolicyKind::SleepMax(16_000)),
+    (BenchmarkKind::FaMutexGlobal, PolicyKind::SleepMax(1_000)),
+    (
+        BenchmarkKind::SpinMutexGlobal,
+        PolicyKind::TimeoutInterval(10_000),
+    ),
+    (
+        BenchmarkKind::SpinMutexGlobal,
+        PolicyKind::TimeoutInterval(100_000),
+    ),
+    (BenchmarkKind::FaMutexGlobal, PolicyKind::MonRAll),
+];
+
 #[test]
 fn full_matrix_completes_and_validates_quick() {
     let scale = Scale::quick();
-    for kind in BenchmarkKind::all() {
-        for policy in POLICIES {
-            let r = run_experiment(kind, policy, &scale, ExperimentConfig::NonOversubscribed);
-            assert!(
-                r.outcome.is_completed(),
-                "{kind} under {}: {:?}",
-                policy.label(),
-                r.outcome
-            );
-            r.validated
-                .unwrap_or_else(|e| panic!("{kind} under {}: {e}", policy.label()));
-        }
+    let matrix = BenchmarkKind::all()
+        .into_iter()
+        .flat_map(|kind| POLICIES.map(|policy| (kind, policy)));
+    for (kind, policy) in matrix.chain(SWEEP_CELLS) {
+        let r = run_experiment(kind, policy, &scale, ExperimentConfig::NonOversubscribed);
+        assert!(
+            r.outcome.is_completed(),
+            "{kind} under {}: {:?}",
+            policy.label(),
+            r.outcome
+        );
+        r.validated
+            .unwrap_or_else(|e| panic!("{kind} under {}: {e}", policy.label()));
     }
 }
 

@@ -6,11 +6,9 @@
 //! with timed global-memory reads, and tracking context-switched WGs. Its
 //! in-memory data structures are the quantities Fig 13 sizes.
 
-use std::collections::HashMap;
-
 use awg_gpu::{SyncCond, WgId};
 use awg_mem::{Addr, L2};
-use awg_sim::{CodecError, Cycle, Dec, Enc};
+use awg_sim::{CodecError, Cycle, Dec, Enc, FxHashMap};
 
 use crate::monitorlog::LogEntry;
 
@@ -67,7 +65,7 @@ impl CpFootprint {
 #[derive(Debug, Default)]
 pub struct Cp {
     /// Spilled waiters grouped by address: `addr -> [(expected, wg, seq)]`.
-    waiting: HashMap<Addr, Vec<(i64, WgId, u64)>>,
+    waiting: FxHashMap<Addr, Vec<(i64, WgId, u64)>>,
     waiting_count: usize,
     next_seq: u64,
     order: CheckOrder,
@@ -236,7 +234,8 @@ impl Cp {
     /// Restores state saved by [`Cp::save`].
     pub fn load(&mut self, dec: &mut Dec<'_>) -> Result<(), CodecError> {
         let n = dec.count(16)?;
-        let mut waiting: HashMap<Addr, Vec<(i64, WgId, u64)>> = HashMap::with_capacity(n);
+        let mut waiting: FxHashMap<Addr, Vec<(i64, WgId, u64)>> =
+            FxHashMap::with_capacity_and_hasher(n, Default::default());
         let mut count = 0usize;
         for _ in 0..n {
             let addr = dec.u64()?;

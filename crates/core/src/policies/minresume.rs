@@ -7,13 +7,13 @@
 //! per condition per release step, so nearly every retry succeeds and the
 //! dynamic atomic count approaches the minimum.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 
 use awg_gpu::{
     MonitoredUpdate, PolicyCtx, SchedPolicy, SyncCond, SyncFail, SyncStyle, TimeoutAction,
     WaitDirective, WaiterRecord, WaiterStructure, Wake, WgId,
 };
-use awg_sim::{CodecError, Cycle, Dec, Enc, Stats};
+use awg_sim::{CodecError, Cycle, Dec, Enc, FxHashMap, Stats};
 
 /// Interval between the oracle's staggered release steps.
 const STAGGER_TICK: Cycle = 500;
@@ -24,7 +24,7 @@ const ORACLE_FALLBACK: Cycle = 200_000;
 /// The Fig 9 oracle policy.
 #[derive(Debug, Default)]
 pub struct MinResumePolicy {
-    waiters: HashMap<SyncCond, VecDeque<WgId>>,
+    waiters: FxHashMap<SyncCond, VecDeque<WgId>>,
     wakes: u64,
 }
 
@@ -165,7 +165,8 @@ impl SchedPolicy for MinResumePolicy {
 
     fn load_state(&mut self, dec: &mut Dec<'_>) -> Result<(), CodecError> {
         let n = dec.count(24)?;
-        let mut waiters: HashMap<SyncCond, VecDeque<WgId>> = HashMap::with_capacity(n);
+        let mut waiters: FxHashMap<SyncCond, VecDeque<WgId>> =
+            FxHashMap::with_capacity_and_hasher(n, Default::default());
         for _ in 0..n {
             let cond = SyncCond {
                 addr: dec.u64()?,

@@ -5,13 +5,11 @@
 //! crucially they *do not release hardware resources*, so this policy
 //! deadlocks in oversubscribed scenarios exactly like the Baseline.
 
-use std::collections::HashMap;
-
 use awg_gpu::{
     MonitoredUpdate, PolicyCtx, SchedPolicy, SyncCond, SyncFail, SyncStyle, WaitDirective, Wake,
     WgId,
 };
-use awg_sim::{CodecError, Cycle, Dec, Enc, Stats};
+use awg_sim::{CodecError, Cycle, Dec, Enc, FxHashMap, Stats};
 
 /// Initial backoff interval in cycles (doubles per failed retry).
 pub const BACKOFF_BASE: Cycle = 250;
@@ -21,7 +19,7 @@ pub const BACKOFF_BASE: Cycle = 250;
 #[derive(Debug, Clone)]
 pub struct SleepBackoffPolicy {
     max_interval: Cycle,
-    backoff: HashMap<WgId, (SyncCond, Cycle)>,
+    backoff: FxHashMap<WgId, (SyncCond, Cycle)>,
     sleeps: u64,
     slept_cycles: u64,
 }
@@ -36,7 +34,7 @@ impl SleepBackoffPolicy {
         assert!(max_interval > 0, "max interval must be positive");
         SleepBackoffPolicy {
             max_interval,
-            backoff: HashMap::new(),
+            backoff: FxHashMap::default(),
             sleeps: 0,
             slept_cycles: 0,
         }
@@ -116,7 +114,7 @@ impl SchedPolicy for SleepBackoffPolicy {
 
     fn load_state(&mut self, dec: &mut Dec<'_>) -> Result<(), CodecError> {
         let n = dec.count(28)?;
-        let mut backoff = HashMap::with_capacity(n);
+        let mut backoff = FxHashMap::with_capacity_and_hasher(n, Default::default());
         for _ in 0..n {
             let wg = dec.u32()?;
             let cond = SyncCond {

@@ -9,11 +9,9 @@
 //! consumes. When either structure is full, registrations spill to the
 //! [`crate::MonitorLog`].
 
-use std::collections::HashMap;
-
 use awg_gpu::{SyncCond, WgId};
 use awg_mem::Addr;
-use awg_sim::{CodecError, Dec, Enc};
+use awg_sim::{CodecError, Dec, Enc, FxHashMap};
 
 use crate::bloom::CountingBloom;
 use crate::hash::{condition_key, UniversalHash};
@@ -100,7 +98,10 @@ pub struct SyncMon {
     entries: Vec<Option<CondEntry>>,
     pool: Vec<Option<WaiterNode>>,
     free: Vec<u16>,
-    addr_index: HashMap<Addr, Vec<usize>>,
+    addr_index: FxHashMap<Addr, Vec<usize>>,
+    /// Live (`Some`) entries in `entries`, kept in step with every
+    /// creation and removal so occupancy reads never scan the cache.
+    live_conditions: usize,
     blooms: Vec<CountingBloom>,
     set_hash: UniversalHash,
     bloom_hash: UniversalHash,
@@ -119,7 +120,8 @@ impl SyncMon {
             entries: vec![None; config.condition_capacity()],
             pool: vec![None; config.waiter_slots],
             free: (0..config.waiter_slots as u16).rev().collect(),
-            addr_index: HashMap::new(),
+            addr_index: FxHashMap::default(),
+            live_conditions: 0,
             blooms: vec![CountingBloom::new(); config.bloom_filters],
             set_hash: UniversalHash::nth(11),
             bloom_hash: UniversalHash::nth(13),
@@ -157,10 +159,6 @@ impl SyncMon {
             .find(|&i| self.entries[i].is_some_and(|e| e.cond == *cond))
     }
 
-    fn conditions(&self) -> usize {
-        self.entries.iter().filter(|e| e.is_some()).count()
-    }
-
     /// Registers `wg` as waiting on `cond` at time `now`.
     pub fn register(&mut self, cond: SyncCond, wg: WgId, now: u64) -> RegisterOutcome {
         let slot = match self.find_entry(&cond) {
@@ -183,6 +181,7 @@ impl SyncMon {
                     waiters: 0,
                     registered_at: now,
                 });
+                self.live_conditions += 1;
                 self.addr_index.entry(cond.addr).or_default().push(free_way);
                 free_way
             }
@@ -210,13 +209,14 @@ impl SyncMon {
         }
         entry.waiters += 1;
         self.max_waiters = self.max_waiters.max(self.waiters_used);
-        self.max_conditions = self.max_conditions.max(self.conditions());
+        self.max_conditions = self.max_conditions.max(self.live_conditions);
         self.max_monitored_addrs = self.max_monitored_addrs.max(self.addr_index.len());
         RegisterOutcome::Registered
     }
 
     fn remove_entry(&mut self, slot: usize) {
         if let Some(e) = self.entries[slot].take() {
+            self.live_conditions -= 1;
             if let Some(list) = self.addr_index.get_mut(&e.cond.addr) {
                 list.retain(|&s| s != slot);
                 if list.is_empty() {
@@ -403,7 +403,7 @@ impl SyncMon {
 
     /// `(cached conditions, waiters in the list)` right now.
     pub fn occupancy(&self) -> (usize, usize) {
-        (self.conditions(), self.waiters_used)
+        (self.live_conditions, self.waiters_used)
     }
 
     /// High-water marks `(conditions, waiters, monitored addresses)`.
@@ -517,6 +517,7 @@ impl SyncMon {
                 registered_at,
             });
         }
+        let live_conditions = n;
         let mut pool = vec![None; slots];
         let n = dec.count(9)?;
         for _ in 0..n {
@@ -564,7 +565,7 @@ impl SyncMon {
             )));
         }
         let n = dec.count(17)?;
-        let mut addr_index = HashMap::with_capacity(n);
+        let mut addr_index = FxHashMap::with_capacity_and_hasher(n, Default::default());
         for _ in 0..n {
             let addr = dec.u64()?;
             let m = dec.count(4)?;
@@ -606,6 +607,7 @@ impl SyncMon {
             )));
         }
         self.entries = entries;
+        self.live_conditions = live_conditions;
         self.pool = pool;
         self.free = free;
         self.addr_index = addr_index;
@@ -767,6 +769,71 @@ mod tests {
         let before = m.unique_updates(64);
         m.pollute_blooms(4);
         assert_eq!(m.unique_updates(64), before);
+    }
+
+    /// The live condition count must track the condition cache exactly:
+    /// over random register / take / remove sequences on a geometry small
+    /// enough to spill both ways, with save/load round trips mixed in,
+    /// `occupancy().0` equals a brute-force count of live entries and
+    /// `high_water().0` equals the largest such count seen.
+    #[test]
+    fn live_condition_count_matches_brute_force() {
+        use proptest::prelude::*;
+        use proptest::test_runner::run_cases;
+        use std::cell::Cell;
+
+        let config = SyncMonConfig {
+            sets: 4,
+            ways: 2,
+            waiter_slots: 6,
+            bloom_filters: 8,
+        };
+        let brute = |m: &SyncMon| m.entries.iter().filter(|e| e.is_some()).count();
+        let ops = prop::collection::vec((0u8..4, 0u64..12, 0i64..3, 0u32..16), 1..120);
+        let (cache_full, waiters_full, reloads) = (Cell::new(0), Cell::new(0), Cell::new(0));
+        run_cases(
+            &ProptestConfig::with_cases(256),
+            "live_condition_count_matches_brute_force",
+            |rng| {
+                let mut m = SyncMon::new(config);
+                let mut peak = 0;
+                for (op, a, expected, wg) in ops.generate(rng) {
+                    let c = cond(64 * (a + 1), expected);
+                    match op {
+                        0 | 1 => match m.register(c, wg, 0) {
+                            RegisterOutcome::CacheFull => cache_full.set(cache_full.get() + 1),
+                            RegisterOutcome::WaitersFull => {
+                                waiters_full.set(waiters_full.get() + 1)
+                            }
+                            RegisterOutcome::Registered => {}
+                        },
+                        2 => {
+                            m.take_waiters(&c, wg as usize % 3);
+                        }
+                        _ if wg % 4 == 0 => {
+                            let mut enc = Enc::new();
+                            m.save(&mut enc);
+                            let bytes = enc.into_bytes();
+                            let mut restored = SyncMon::new(config);
+                            let mut dec = Dec::new(&bytes);
+                            restored.load(&mut dec).expect("round trip loads");
+                            dec.finish().expect("no trailing bytes");
+                            m = restored;
+                            reloads.set(reloads.get() + 1);
+                        }
+                        _ => {
+                            m.remove_waiter(&c, wg);
+                        }
+                    }
+                    peak = peak.max(brute(&m));
+                    assert_eq!(m.occupancy().0, brute(&m));
+                    assert_eq!(m.high_water().0, peak);
+                }
+            },
+        );
+        assert!(cache_full.get() > 0, "no CacheFull spill was exercised");
+        assert!(waiters_full.get() > 0, "no WaitersFull spill was exercised");
+        assert!(reloads.get() > 0, "no save/load round trip was exercised");
     }
 
     #[test]

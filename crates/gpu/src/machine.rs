@@ -1383,7 +1383,6 @@ impl Gpu {
         let wgu = wg as usize;
         debug_assert_eq!(self.wgs[wgu].state, WgState::Running);
         let mut t: Cycle = 0;
-        let program = self.kernel.program.clone();
         for step in 0.. {
             if step >= MAX_INLINE_STEPS {
                 let token = self.wgs[wgu].bump_token();
@@ -1392,7 +1391,7 @@ impl Gpu {
                 return;
             }
             let pc = self.wgs[wgu].pc;
-            let inst = *program.inst(pc);
+            let inst = *self.kernel.program.inst(pc);
             self.wgs[wgu].insts += 1;
             t += self.config.issue_cycles;
             match inst {
@@ -1417,13 +1416,13 @@ impl Gpu {
                     self.wgs[wgu].pc = pc + 1;
                 }
                 Inst::Jmp(l) => {
-                    self.wgs[wgu].pc = program.target(l);
+                    self.wgs[wgu].pc = self.kernel.program.target(l);
                 }
                 Inst::Br(c, r, o, l) => {
                     let a = self.wgs[wgu].regs.get(r);
                     let b = self.operand(wgu, o);
                     self.wgs[wgu].pc = if c.holds(a, b) {
-                        program.target(l)
+                        self.kernel.program.target(l)
                     } else {
                         pc + 1
                     };

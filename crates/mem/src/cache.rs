@@ -167,6 +167,14 @@ impl Cache {
     /// GPU L1s are write-through/write-allocate in the baseline model, and
     /// the L2 allocates atomics so their lines can be monitored).
     pub fn access(&mut self, addr: Addr) -> AccessOutcome {
+        self.access_monitored(addr).0
+    }
+
+    /// [`access`](Self::access), also returning the monitored bit of the
+    /// line the set scan hit, so the L2 learns it without scanning the set
+    /// a second time. A fill or a bypass reports `false`: a freshly filled
+    /// line is never monitored, and a bypassed one is not resident.
+    pub(crate) fn access_monitored(&mut self, addr: Addr) -> (AccessOutcome, bool) {
         self.tick += 1;
         let tick = self.tick;
         let (set, tag) = self.index_tag(addr);
@@ -178,8 +186,9 @@ impl Cache {
         for way in slice.iter_mut() {
             if way.valid && way.tag == tag {
                 way.last_use = tick;
+                let monitored = way.monitored;
                 self.hits += 1;
-                return AccessOutcome::Hit;
+                return (AccessOutcome::Hit, monitored);
             }
         }
 
@@ -206,7 +215,7 @@ impl Cache {
         let Some(v) = victim else {
             debug_assert!(ways > 0);
             self.bypasses += 1;
-            return AccessOutcome::NoAllocate;
+            return (AccessOutcome::NoAllocate, false);
         };
         let evicted = if slice[v].valid {
             let old_tag = slice[v].tag;
@@ -222,7 +231,7 @@ impl Cache {
             last_use: tick,
         };
         self.misses += 1;
-        AccessOutcome::Miss { evicted }
+        (AccessOutcome::Miss { evicted }, false)
     }
 
     /// Whether the line containing `addr` is resident.

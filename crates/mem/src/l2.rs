@@ -133,13 +133,16 @@ impl L2 {
         ((line_of(addr) / self.config.cache.line_bytes) as usize) % self.config.banks
     }
 
-    /// Common bank + tag timing. Returns `(commit_cycle, hit)`.
-    fn bank_access(&mut self, now: Cycle, addr: Addr, occupancy: Cycle) -> (Cycle, bool) {
+    /// Common bank + tag timing. Returns `(commit_cycle, hit, monitored)`,
+    /// where `monitored` is the monitored bit of `addr`'s line as the one
+    /// set scan found it (`false` on a fill or a bypass).
+    fn bank_access(&mut self, now: Cycle, addr: Addr, occupancy: Cycle) -> (Cycle, bool, bool) {
         let bank = self.bank_of(addr);
         let arrival = now + self.config.cache.latency;
         let start = arrival.max(self.bank_free[bank]);
         self.bank_free[bank] = start + occupancy;
-        let (commit, hit) = match self.cache.access(addr) {
+        let (outcome, monitored) = self.cache.access_monitored(addr);
+        let (commit, hit) = match outcome {
             AccessOutcome::Hit => (start + occupancy, true),
             AccessOutcome::Miss { .. } => {
                 let fill = self.dram.access(start, line_of(addr));
@@ -151,14 +154,14 @@ impl L2 {
                 (fill.max(start + occupancy), false)
             }
         };
-        (commit, hit)
+        (commit, hit, monitored)
     }
 
     /// Executes an atomic arriving from a CU at cycle `now`.
     pub fn atomic(&mut self, now: Cycle, req: AtomicRequest) -> AtomicCompletion {
         self.atomics += 1;
-        let (committed, _hit) = self.bank_access(now, req.addr, self.config.atomic_occupancy);
-        let was_monitored = self.cache.is_monitored(req.addr);
+        let (committed, _hit, was_monitored) =
+            self.bank_access(now, req.addr, self.config.atomic_occupancy);
         let result = atomic::execute(&mut self.backing, req);
         AtomicCompletion {
             result,
@@ -171,7 +174,7 @@ impl L2 {
     /// Reads the word at `addr`, returning `(value, completion)`.
     pub fn read(&mut self, now: Cycle, addr: Addr) -> (i64, Completion) {
         self.reads += 1;
-        let (commit, hit) = self.bank_access(now, addr, self.config.access_occupancy);
+        let (commit, hit, _monitored) = self.bank_access(now, addr, self.config.access_occupancy);
         (
             self.backing.load(addr),
             Completion {
@@ -186,8 +189,7 @@ impl L2 {
     /// monitored at commit time.
     pub fn write(&mut self, now: Cycle, addr: Addr, value: i64) -> (Completion, bool) {
         self.writes += 1;
-        let (commit, hit) = self.bank_access(now, addr, self.config.access_occupancy);
-        let monitored = self.cache.is_monitored(addr);
+        let (commit, hit, monitored) = self.bank_access(now, addr, self.config.access_occupancy);
         self.backing.store(addr, value);
         (
             Completion {
@@ -389,6 +391,58 @@ mod tests {
         let (_, monitored) = l2.write(0, 64, 42);
         assert!(monitored);
         assert_eq!(l2.peek(64), 42);
+    }
+
+    /// The monitored flag an atomic or a write reports comes from the set
+    /// scan of the access itself; it must equal what a separate
+    /// `is_monitored` read just before the access says, on a hit of a
+    /// monitored line, a hit of an unmonitored line, a cold miss, and a
+    /// bypass of a set whose ways are all pinned.
+    #[test]
+    fn reported_monitored_flag_matches_a_prior_tag_read() {
+        let cfg = L2Config {
+            cache: CacheConfig {
+                sets: 2,
+                ways: 2,
+                line_bytes: 64,
+                latency: 50,
+            },
+            banks: 1,
+            atomic_occupancy: 4,
+            access_occupancy: 2,
+        };
+        // Set 0 holds lines 0 and 128, both pinned; 256 maps to set 0 too
+        // and must bypass. Line 64 (set 1) is resident but unmonitored;
+        // 192 (set 1) starts cold.
+        let fresh = || {
+            let mut l2 = L2::with_dram(cfg, DramConfig::isca2020());
+            assert!(l2.set_monitored(0));
+            assert!(l2.set_monitored(128));
+            l2.read(0, 64);
+            l2
+        };
+        let cases = [
+            (0u64, true, "hit on a monitored line"),
+            (64, false, "hit on an unmonitored line"),
+            (192, false, "cold miss"),
+            (256, false, "bypass of an all-pinned set"),
+        ];
+        for (addr, monitored, case) in cases {
+            let mut l2 = fresh();
+            let before = l2.is_monitored(addr);
+            assert_eq!(before, monitored, "{case}: setup");
+            let bypasses = l2.cache_stats().2;
+            let c = l2.atomic(1_000, add1(addr));
+            assert_eq!(c.was_monitored, before, "{case}: atomic");
+            if addr == 256 {
+                assert_eq!(l2.cache_stats().2, bypasses + 1, "{case}: bypassed");
+            }
+
+            let mut l2 = fresh();
+            let before = l2.is_monitored(addr);
+            let (_, was_monitored) = l2.write(1_000, addr, 5);
+            assert_eq!(was_monitored, before, "{case}: write");
+        }
     }
 
     #[test]

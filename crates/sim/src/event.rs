@@ -22,18 +22,25 @@
 //!   tie-break for free, with no per-entry comparisons at all.
 //! * **Overflow** — events beyond the horizon, and retro events scheduled
 //!   behind the cursor (the machine does this when re-arming timeouts at
-//!   `max(deadline, now)` boundaries and after restores), go to a sorted
-//!   `BTreeMap<Cycle, …>` tier. No migration pass is ever needed: `pop`
-//!   compares the wheel's next cycle against the overflow's first key and
-//!   drains the earlier one. When both tiers hold the same cycle, the
-//!   overflow entries are always older (their seq is smaller — an event
-//!   can only reach the overflow while the cycle is outside the horizon,
-//!   i.e. strictly before any wheel entry for it could exist), so
-//!   overflow-before-wheel preserves FIFO order exactly.
+//!   `max(deadline, now)` boundaries and after restores), go to a binary
+//!   min-heap of flat `(cycle, seq, slot)` keys. The slot already carries
+//!   the event's seq, so the heap orders its entries by exactly the pop
+//!   order `(cycle, seq)`; its length is the overflow population. No
+//!   migration pass is ever needed: `pop` compares the wheel's next cycle
+//!   against the heap's top and drains the earlier one. When both tiers
+//!   hold the same cycle, the overflow entries are always older (their seq
+//!   is smaller — an event can only reach the overflow while the cycle is
+//!   outside the horizon, i.e. strictly before any wheel entry for it could
+//!   exist), so overflow-before-wheel preserves FIFO order exactly. On the
+//!   paper-scale Fig 14 campaign about one scheduled event in ten takes
+//!   this tier (three quarters of them wait-timeout fallbacks, most of the
+//!   rest long compute or sleep phases), so it is kept to an O(log n) push
+//!   and pop with no per-entry allocation.
 //! * **Arena** — event payloads live in generation-tagged slots with a
-//!   free list; buckets and overflow rings store 8-byte slot references,
-//!   not boxed events. Popping frees the slot for reuse, so a steady-state
-//!   run allocates nothing after warmup, and
+//!   free list; buckets and the heap store small slot references, not
+//!   boxed events. Popping frees the slot for reuse. The bucket vectors
+//!   and the heap keep their capacity when they drain, so once every tier
+//!   has reached its peak population a run allocates nothing more;
 //!   [`with_capacity`](EventQueue::with_capacity) pre-sizes the arena from
 //!   machine configuration.
 //!
@@ -42,15 +49,17 @@
 //! original `BinaryHeap` implementation; `tests/queue_model.rs` drives
 //! both against each other with seeded interleavings to prove it.
 
-use std::collections::{BTreeMap, VecDeque};
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 
 use crate::time::Cycle;
 
 /// Width of the calendar wheel in cycles (one bucket per cycle). Must be a
 /// power of two so bucket addressing is a mask. 4096 cycles comfortably
 /// covers the paper machine's event latencies (issue 4, dispatch 200,
-/// context switch 500, memory ~100s); only quiescence watchdogs, long
-/// sleep backoffs, and far-future fault injections take the overflow path.
+/// context switch 500, memory ~100s); wait-timeout fallbacks, long compute
+/// and sleep phases, CP ticks, quiescence watchdogs and far-future fault
+/// injections take the overflow path.
 const WHEEL_CYCLES: usize = 4096;
 const WHEEL_MASK: u64 = (WHEEL_CYCLES as u64) - 1;
 
@@ -60,6 +69,11 @@ struct SlotRef {
     idx: u32,
     gen: u32,
 }
+
+/// An overflow-heap key: `(cycle, seq, slot index, slot generation)`.
+/// `(cycle, seq)` is unique per pending event, so the slot fields never
+/// decide an ordering; they only locate the payload.
+type OverflowKey = Reverse<(Cycle, u64, u32, u32)>;
 
 #[derive(Debug)]
 struct Slot<E> {
@@ -114,8 +128,8 @@ pub struct EventQueue<E> {
     /// wheel entry's cycle lies in `[cursor, cursor + WHEEL_CYCLES)`.
     cursor: Cycle,
     /// Events outside the horizon (far future) or behind the cursor
-    /// (retro), in FIFO order per cycle.
-    overflow: BTreeMap<Cycle, VecDeque<SlotRef>>,
+    /// (retro), as a min-heap on `(cycle, seq)`.
+    overflow: BinaryHeap<OverflowKey>,
     /// Pending entries on the wheel (`len` minus the overflow population);
     /// lets `pop`/`peek` skip the bitmap scan in overflow-only phases.
     wheel_len: usize,
@@ -143,7 +157,7 @@ impl<E> EventQueue<E> {
             wheel,
             occupancy: [0; WHEEL_CYCLES / 64],
             cursor: 0,
-            overflow: BTreeMap::new(),
+            overflow: BinaryHeap::new(),
             wheel_len: 0,
             len: 0,
             seq: 0,
@@ -221,7 +235,7 @@ impl<E> EventQueue<E> {
         None
     }
 
-    fn insert_ref(&mut self, at: Cycle, r: SlotRef) {
+    fn insert_ref(&mut self, at: Cycle, seq: u64, r: SlotRef) {
         if at >= self.cursor && at - self.cursor < WHEEL_CYCLES as u64 {
             let bucket = self.bucket_index(at);
             debug_assert!(
@@ -235,7 +249,7 @@ impl<E> EventQueue<E> {
             self.set_bit(bucket);
             self.wheel_len += 1;
         } else {
-            self.overflow.entry(at).or_default().push_back(r);
+            self.overflow.push(Reverse((at, seq, r.idx, r.gen)));
         }
         self.len += 1;
     }
@@ -247,13 +261,13 @@ impl<E> EventQueue<E> {
         let seq = self.seq;
         self.seq += 1;
         let r = self.alloc_slot(at, seq, event);
-        self.insert_ref(at, r);
+        self.insert_ref(at, seq, r);
     }
 
     /// Removes and returns the earliest event, or `None` when empty.
     pub fn pop(&mut self) -> Option<(Cycle, E)> {
         let wheel_next = self.next_wheel_cycle();
-        let overflow_next = self.overflow.keys().next().copied();
+        let overflow_next = self.overflow_next();
         let (cycle, from_overflow) = match (wheel_next, overflow_next) {
             (None, None) => return None,
             (Some(w), None) => (w, false),
@@ -264,12 +278,8 @@ impl<E> EventQueue<E> {
             (Some(w), Some(o)) => (w.min(o), o <= w),
         };
         let r = if from_overflow {
-            let ring = self.overflow.get_mut(&cycle).expect("overflow key");
-            let r = ring.pop_front().expect("empty overflow ring");
-            if ring.is_empty() {
-                self.overflow.remove(&cycle);
-            }
-            r
+            let Reverse((_, _, idx, gen)) = self.overflow.pop().expect("overflow top");
+            SlotRef { idx, gen }
         } else {
             let bucket = self.bucket_index(cycle);
             let b = &mut self.wheel[bucket];
@@ -291,15 +301,17 @@ impl<E> EventQueue<E> {
 
     /// Returns the cycle of the earliest pending event without removing it.
     pub fn peek_cycle(&self) -> Option<Cycle> {
-        match (
-            self.next_wheel_cycle(),
-            self.overflow.keys().next().copied(),
-        ) {
+        match (self.next_wheel_cycle(), self.overflow_next()) {
             (None, None) => None,
             (Some(w), None) => Some(w),
             (None, Some(o)) => Some(o),
             (Some(w), Some(o)) => Some(w.min(o)),
         }
+    }
+
+    /// The cycle at the top of the overflow heap.
+    fn overflow_next(&self) -> Option<Cycle> {
+        self.overflow.peek().map(|&Reverse((cycle, ..))| cycle)
     }
 
     /// Number of pending events.
@@ -315,7 +327,7 @@ impl<E> EventQueue<E> {
     /// Number of pending events in the far-future/retro overflow tier
     /// (observability for checkpoint tests and calendar diagnostics).
     pub fn overflow_len(&self) -> usize {
-        self.overflow.values().map(|ring| ring.len()).sum()
+        self.overflow.len()
     }
 
     /// `(arena slots, free-list holes)` — observability for checkpoint
@@ -392,12 +404,12 @@ impl<E> EventQueue<E> {
         // Rebase the horizon on the earliest restored event so the bulk of
         // the restored calendar lands on the wheel, not in the overflow.
         // The entries arrive sorted by (cycle, seq) — append order along a
-        // bucket or overflow ring is therefore seq order, as required.
+        // bucket is therefore seq order, as required.
         q.cursor = entries.first().map_or(0, |&(cycle, _, _)| cycle);
         for (cycle, seq, event) in entries {
             debug_assert!(seq < next_seq, "restored seq beyond the counter");
             let r = q.alloc_slot(cycle, seq, event);
-            q.insert_ref(cycle, r);
+            q.insert_ref(cycle, seq, r);
         }
         q.seq = next_seq;
         q

@@ -14,6 +14,8 @@
 //!   stall-time predictor (§IV.B of the paper),
 //! * [`Fingerprint64`] — an order-sensitive state hasher for the
 //!   machine-layer digests the determinism harness compares,
+//! * [`FxHashMap`] — a `HashMap` with a fixed multiply-rotate hasher for
+//!   the integer-keyed tables on the simulation's hot path,
 //! * cycle/time conversion helpers for the paper's 2 GHz baseline clock.
 //!
 //! # Example
@@ -39,6 +41,7 @@ pub mod codec;
 pub mod event;
 pub mod ewma;
 pub mod fingerprint;
+pub mod fxhash;
 pub mod json;
 pub mod rng;
 pub mod stats;
@@ -49,6 +52,7 @@ pub use codec::{crc32, CodecError, Dec, Enc};
 pub use event::EventQueue;
 pub use ewma::Ewma;
 pub use fingerprint::{first_divergence, Fingerprint64};
+pub use fxhash::{FxBuildHasher, FxHashMap, FxHasher};
 pub use rng::{SplitMix64, Xoshiro256StarStar};
 pub use stats::{CounterId, DistId, DistSummary, HistId, Stats};
 pub use telemetry::{

@@ -4,10 +4,10 @@
 //! ([`CounterId`], [`DistId`], [`HistId`]) are cheap indices so the hot path
 //! never hashes strings.
 
-use std::collections::HashMap;
 use std::fmt;
 
 use crate::codec::{CodecError, Dec, Enc};
+use crate::fxhash::FxHashMap;
 use crate::time::Cycle;
 
 /// Handle to a registered counter.
@@ -85,9 +85,9 @@ pub struct Stats {
     // Name → slot indices so registration (and by-name lookup) is O(1).
     // Policies register per-WG metrics on hot paths; a linear scan makes
     // that quadratic in the number of registered names.
-    counter_index: HashMap<String, usize>,
-    dist_index: HashMap<String, usize>,
-    hist_index: HashMap<String, usize>,
+    counter_index: FxHashMap<String, usize>,
+    dist_index: FxHashMap<String, usize>,
+    hist_index: FxHashMap<String, usize>,
 }
 
 impl Stats {

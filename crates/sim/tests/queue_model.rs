@@ -1,6 +1,6 @@
 //! Model-based battery for the calendar-queue [`EventQueue`].
 //!
-//! The production queue is a 4096-cycle timer wheel with a `BTreeMap`
+//! The production queue is a 4096-cycle timer wheel with a binary-heap
 //! overflow tier and an arena/free-list slot store; the *model* here is
 //! the data structure it replaced — a plain binary heap of
 //! `(cycle, seq, payload)` with FIFO sequence tie-breaks. Every generated
